@@ -89,8 +89,8 @@ pub struct AnswerOptions {
     pub limits: ReformulationLimits,
     /// Abort evaluation when an intermediate relation exceeds this many rows.
     pub row_budget: Option<usize>,
-    /// Intra-query parallelism policy: off, parallel unions, or
-    /// morsel-driven scans and bind-joins (see [`Parallelism`]).
+    /// Intra-query parallelism policy: off, or morsel-driven scans,
+    /// bind-joins and large unions (see [`Parallelism`]).
     pub parallelism: Parallelism,
     /// Physical join algorithm for CQ bodies: bind join, worst-case-optimal
     /// leapfrog triejoin, or cost-model choice (see [`JoinAlgorithm`]).
@@ -336,9 +336,9 @@ pub struct Database {
 impl Database {
     /// Start configuring an engine: `Database::builder()` is the sole way
     /// to construct every database flavour — in-memory
-    /// ([`crate::EngineBuilder::build`]), serving
-    /// ([`crate::EngineBuilder::build_serving`]), predicate-sharded serving
-    /// ([`crate::EngineBuilder::build_sharded`]) and maintained
+    /// ([`crate::EngineBuilder::build`]), serving, predicate-sharded with
+    /// [`crate::EngineBuilder::shards`]
+    /// ([`crate::EngineBuilder::build_serving`]) and maintained
     /// ([`crate::EngineBuilder::build_maintained`]).
     pub fn builder() -> crate::builder::EngineBuilder {
         crate::builder::EngineBuilder::new()
@@ -495,8 +495,8 @@ impl Database {
     }
 
     /// The store over explicit triples, when the database reads a single
-    /// source. Sharded scatter-gather databases (global snapshots of
-    /// [`crate::serving::ShardedServingDatabase`]) return `None`.
+    /// source. Sharded scatter-gather databases (global snapshots of a
+    /// [`crate::ServingDatabase`] with more than one shard) return `None`.
     pub fn store(&self) -> Option<&Store> {
         self.store.as_single()
     }
@@ -1362,7 +1362,7 @@ ex:bioy ex:hasName "A. Bioy Casares" .
     fn answer_options_builder_roundtrip() {
         let opts = AnswerOptions::new()
             .with_row_budget(Some(7))
-            .with_parallelism(Parallelism::Unions)
+            .with_parallelism(Parallelism::morsels())
             .with_use_cache(false)
             .with_limits(ReformulationLimits {
                 max_cqs: 9,
@@ -1371,7 +1371,7 @@ ex:bioy ex:hasName "A. Bioy Casares" .
             .with_gcov(GcovOptions::default())
             .with_obs(Obs::disabled());
         assert_eq!(opts.row_budget, Some(7));
-        assert_eq!(opts.parallelism, Parallelism::Unions);
+        assert_eq!(opts.parallelism, Parallelism::morsels());
         assert!(!opts.use_cache);
         assert_eq!(opts.limits.max_cqs, 9);
         assert!(!opts.obs.enabled());

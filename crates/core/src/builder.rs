@@ -30,12 +30,14 @@
 //! ```
 //!
 //! Knobs compose freely with every terminal; a knob a flavour does not use
-//! (e.g. `shards` on [`EngineBuilder::build`]) is simply ignored by it.
+//! is simply ignored by it. Only `shards` is such a knob: it partitions a
+//! serving engine, so [`EngineBuilder::build`] and
+//! [`EngineBuilder::build_maintained`] ignore it.
 
 use crate::answer::Database;
 use crate::cache::PlanCache;
 use crate::maintained::MaintainedDatabase;
-use crate::serving::{ServingDatabase, ShardConfig, ShardedServingDatabase};
+use crate::serving::ServingDatabase;
 use rdfref_model::{DictEncoding, Graph};
 use rdfref_obs::Obs;
 use rdfref_storage::{JoinAlgorithm, Parallelism};
@@ -43,9 +45,9 @@ use rdfref_sync::Arc;
 
 /// Configures and constructs an engine. Obtain one via
 /// [`Database::builder`]; finish with [`EngineBuilder::build`] (in-memory),
-/// [`EngineBuilder::build_serving`] (single-writer serving),
-/// [`EngineBuilder::build_sharded`] (predicate-hash-sharded serving) or
-/// [`EngineBuilder::build_maintained`] (incrementally maintained).
+/// [`EngineBuilder::build_serving`] (single-writer serving, optionally
+/// predicate-hash sharded) or [`EngineBuilder::build_maintained`]
+/// (incrementally maintained).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineBuilder {
@@ -91,7 +93,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of predicate-hash data shards ([`EngineBuilder::build_sharded`]
+    /// Number of predicate-hash data shards ([`EngineBuilder::build_serving`]
     /// only; clamped to at least 1).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -123,10 +125,6 @@ impl EngineBuilder {
         Arc::new(PlanCache::new(self.plan_cache_capacity))
     }
 
-    pub(crate) fn shard_config(&self) -> ShardConfig {
-        ShardConfig::new(self.shards)
-    }
-
     /// Build an in-memory [`Database`] over `graph`.
     pub fn build(self, graph: Graph) -> Database {
         let cache = self.plan_cache();
@@ -140,16 +138,12 @@ impl EngineBuilder {
         .with_obs(self.obs)
     }
 
-    /// Build a snapshot-isolated, single-writer [`ServingDatabase`].
+    /// Build a snapshot-isolated, single-writer [`ServingDatabase`] over
+    /// [`EngineBuilder::shards`] predicate-hash partitions: with more than
+    /// one, per-shard snapshot cells sit beside the global scatter-gather
+    /// cell, all published in epoch lockstep.
     pub fn build_serving(self, graph: Graph) -> ServingDatabase {
         ServingDatabase::from_builder(graph, &self)
-    }
-
-    /// Build a [`ShardedServingDatabase`]: serving over `shards`
-    /// predicate-hash partitions with per-shard snapshot cells and a global
-    /// scatter-gather cell, all published in epoch lockstep.
-    pub fn build_sharded(self, graph: Graph) -> ShardedServingDatabase {
-        ShardedServingDatabase::from_builder(graph, &self)
     }
 
     /// Build an incrementally maintained [`MaintainedDatabase`].
@@ -204,12 +198,15 @@ ex:doi2 a ex:Publication .
         assert_eq!(got, reference);
 
         let serving = Database::builder().build_serving(g.clone());
+        assert_eq!(serving.shard_count(), 1);
         let snap = serving.snapshot();
         assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);
         drop(serving);
 
-        let sharded = Database::builder().shards(4).build_sharded(g.clone());
+        let sharded = Database::builder().shards(4).build_serving(g.clone());
+        assert_eq!(sharded.shard_count(), 4);
         let snap = sharded.snapshot();
+        assert_eq!(snap.database().shard_count(), 4);
         assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);
         drop(sharded);
 
@@ -224,9 +221,9 @@ ex:doi2 a ex:Publication .
         let mut g = parse_turtle(DOC).unwrap();
         let q = parse_select(QUERY, g.dictionary_mut()).unwrap();
         let db = Database::builder()
-            .parallelism(Parallelism::Unions)
+            .parallelism(Parallelism::morsels())
             .build(g);
-        assert_eq!(db.default_parallelism(), Parallelism::Unions);
+        assert_eq!(db.default_parallelism(), Parallelism::morsels());
         let a = db.query(&q).run().unwrap();
         let b = db.query(&q).parallelism(Parallelism::Off).run().unwrap();
         assert_eq!(a.rows(), b.rows());

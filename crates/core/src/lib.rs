@@ -87,7 +87,4 @@ pub use rdfref_storage::{JoinAlgorithm, Parallelism, DEFAULT_MORSEL_SIZE};
 pub use reformulate::{
     reformulate_jucq, reformulate_scq, reformulate_ucq, ReformulationLimits, RewriteContext,
 };
-pub use serving::{
-    BatchReport, BatchTicket, ServingDatabase, ShardConfig, ShardedServingDatabase, Snapshot,
-    UpdateBatch,
-};
+pub use serving::{BatchReport, BatchTicket, ServingDatabase, Snapshot, UpdateBatch};

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 /// Sink for instrumentation events.
 ///
 /// Implementations must be cheap and thread-safe: spans, counters and
-/// histogram observations arrive from parallel-union workers concurrently.
+/// histogram observations arrive from morsel-pool workers concurrently.
 /// Names are `&'static str` dotted paths so recording never allocates.
 pub trait Recorder: Send + Sync {
     /// A span named `path` just closed after running for `wall`.

@@ -4,8 +4,10 @@
 //! * a CQ runs as a left-deep chain of hash joins over index scans, in the
 //!   greedy order chosen by the cost model (so estimates model the actual
 //!   plan);
-//! * a UCQ is the deduplicated union of its disjuncts, optionally evaluated
-//!   on parallel threads (the RDBMSs the paper uses parallelize unions);
+//! * a UCQ is the deduplicated union of its disjuncts; under
+//!   [`Parallelism::Morsels`] a large union runs one disjunct per morsel
+//!   unit on the shared worker pool (the RDBMSs the paper uses parallelize
+//!   unions);
 //! * a JUCQ joins its fragments' UCQ results on shared column names and
 //!   projects the query head — the "query answering strategy" induced by a
 //!   cover (§4).
@@ -26,6 +28,7 @@ use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::{Cq, Jucq, PTerm, Ucq};
 use rdfref_query::Var;
+use rdfref_sync::Mutex;
 
 /// Default morsel size for [`Parallelism::Morsels`]: large enough to
 /// amortize scheduling, small enough that skewed scans still split into
@@ -35,21 +38,20 @@ pub const DEFAULT_MORSEL_SIZE: usize = 4096;
 /// Intra-query parallelism policy.
 ///
 /// * `Off` — fully sequential evaluation (the default).
-/// * `Unions` — large UCQ unions fan their disjuncts out over a worker
-///   pool (the RDBMSs the paper benchmarks parallelize unions).
 /// * `Morsels { size }` — scans and bind-joins split their input into
 ///   fixed-size morsels that workers claim off a shared counter
 ///   (work-stealing self-scheduling); output order is preserved by
-///   stitching partial buffers back in morsel order.
+///   stitching partial buffers back in morsel order. A UCQ with at least
+///   16 disjuncts instead runs one disjunct per morsel unit, each evaluated
+///   sequentially so the pool never nests (the RDBMSs the paper benchmarks
+///   parallelize unions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum Parallelism {
     /// Sequential evaluation.
     #[default]
     Off,
-    /// Parallelize large UCQ unions across disjuncts.
-    Unions,
-    /// Morsel-driven parallel scans and bind-joins.
+    /// Morsel-driven parallel scans, bind-joins and large unions.
     Morsels {
         /// Rows per morsel (clamped to at least 1).
         size: usize,
@@ -107,8 +109,8 @@ pub struct Evaluator<'a> {
     pub obs: Obs,
 }
 
-/// Unions with at least this many disjuncts are parallelized when
-/// [`Evaluator::parallelism`] is [`Parallelism::Unions`].
+/// Unions with at least this many disjuncts run one disjunct per morsel
+/// unit when [`Evaluator::parallelism`] is [`Parallelism::Morsels`].
 const PARALLEL_UNION_THRESHOLD: usize = 16;
 
 impl<'a> Evaluator<'a> {
@@ -317,53 +319,12 @@ impl<'a> Evaluator<'a> {
     /// Evaluate a UCQ as the deduplicated union of its disjuncts.
     pub fn eval_ucq(&self, ucq: &Ucq, out: &[Var], metrics: &mut ExecMetrics) -> Result<Relation> {
         let _span = self.obs.span("eval.ucq");
-        let mut union = Relation::empty(out.to_vec());
-        if self.parallelism == Parallelism::Unions && ucq.len() >= PARALLEL_UNION_THRESHOLD {
-            let n_threads = rdfref_sync::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(ucq.len());
-            let chunks: Vec<&[Cq]> = ucq.cqs.chunks(ucq.len().div_ceil(n_threads)).collect();
-            self.obs.add("union.parallel.unions", 1);
-            self.obs.add("union.parallel.workers", chunks.len() as u64);
-            let results: Vec<Result<(Vec<Relation>, ExecMetrics)>> =
-                rdfref_sync::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                // Per-worker busy time feeds the utilization
-                                // histogram; uneven chunks show up as spread.
-                                let sw = self.obs.stopwatch();
-                                let mut local_metrics = ExecMetrics::default();
-                                let mut rels = Vec::with_capacity(chunk.len());
-                                for cq in chunk {
-                                    rels.push(self.eval_cq(cq, out, &mut local_metrics)?);
-                                }
-                                self.obs.observe(
-                                    "union.worker.busy_us",
-                                    sw.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                                );
-                                Ok((rels, local_metrics))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or(Err(StorageError::WorkerPanicked)))
-                        .collect()
-                });
-            for r in results {
-                let (rels, local_metrics) = r?;
-                metrics.absorb(local_metrics);
-                for rel in rels {
-                    for row in rel.rows() {
-                        union.push_row(row)?;
-                    }
-                    self.check_budget(union.len())?;
-                }
-            }
+        let mut union = if matches!(self.parallelism, Parallelism::Morsels { .. })
+            && ucq.len() >= PARALLEL_UNION_THRESHOLD
+        {
+            self.eval_disjunct_morsels(ucq, out, metrics)?
         } else {
+            let mut union = Relation::empty(out.to_vec());
             for cq in &ucq.cqs {
                 let rel = self.eval_cq(cq, out, metrics)?;
                 for row in rel.rows() {
@@ -371,10 +332,42 @@ impl<'a> Evaluator<'a> {
                 }
                 self.check_budget(union.len())?;
             }
-        }
+            union
+        };
         union.dedup();
         metrics.record("union-dedup", union.len());
         self.obs.add("op.union.rows", union.len() as u64);
+        Ok(union)
+    }
+
+    /// A union as morsel units, one per disjunct. Each unit evaluates its
+    /// CQ with a sequential copy of this evaluator, so the pool never
+    /// nests, into its own [`ExecMetrics`]. Rows are stitched and metrics
+    /// absorbed in disjunct order: the output is exactly the sequential
+    /// loop's, before the one dedup.
+    fn eval_disjunct_morsels(
+        &self,
+        ucq: &Ucq,
+        out: &[Var],
+        metrics: &mut ExecMetrics,
+    ) -> Result<Relation> {
+        let sequential = Evaluator {
+            parallelism: Parallelism::Off,
+            ..self.clone()
+        };
+        let unit_metrics: Mutex<Vec<ExecMetrics>> =
+            Mutex::new(vec![ExecMetrics::default(); ucq.len()]);
+        self.obs.add("op.morsel.count", ucq.len() as u64);
+        let union = morsel::run_morsels(ucq.len(), out.to_vec(), &self.obs, |m| {
+            let mut local = ExecMetrics::default();
+            let rel = sequential.eval_cq(&ucq.cqs[m], out, &mut local)?;
+            unit_metrics.lock()[m] = local;
+            Ok(rel)
+        })?;
+        for local in unit_metrics.into_inner() {
+            metrics.absorb(local);
+        }
+        self.check_budget(union.len())?;
         Ok(union)
     }
 
@@ -888,15 +881,20 @@ mod tests {
         let mut seq_ev = Evaluator::new(&store, &stats);
         seq_ev.parallelism = Parallelism::Off;
         let mut par_ev = Evaluator::new(&store, &stats);
-        par_ev.parallelism = Parallelism::Unions;
+        par_ev.parallelism = Parallelism::Morsels { size: 1 };
         let mut m1 = ExecMetrics::default();
         let mut m2 = ExecMetrics::default();
-        let mut a = seq_ev.eval_ucq(&ucq, &[v("x")], &mut m1).unwrap();
-        let mut b = par_ev.eval_ucq(&ucq, &[v("x")], &mut m2).unwrap();
-        a.sort();
-        b.sort();
+        let a = seq_ev.eval_ucq(&ucq, &[v("x")], &mut m1).unwrap();
+        let b = par_ev.eval_ucq(&ucq, &[v("x")], &mut m2).unwrap();
+        // Disjunct units are stitched in disjunct order, so rows match
+        // exactly (not just as sets), and so does the operator trace.
         assert_eq!(a.to_rows(), b.to_rows());
         assert_eq!(m1.rows_scanned, m2.rows_scanned);
+        assert_eq!(m1.peak_intermediate, m2.peak_intermediate);
+        let labels = |m: &ExecMetrics| -> Vec<(String, usize)> {
+            m.steps.iter().map(|s| (s.label.clone(), s.rows)).collect()
+        };
+        assert_eq!(labels(&m1), labels(&m2));
     }
 
     #[test]
@@ -1017,7 +1015,7 @@ mod tests {
 
     #[test]
     fn worker_panic_error_displays() {
-        // The parallel union maps a panicked worker to a typed error rather
+        // The morsel pool maps a panicked worker to a typed error rather
         // than propagating the panic; pin the variant and its message.
         let err = StorageError::WorkerPanicked;
         assert!(err.to_string().contains("worker thread panicked"));

@@ -64,7 +64,8 @@ impl ExecMetrics {
         self.record_timed(label, rows, wall);
     }
 
-    /// Merge metrics from a sub-evaluation (parallel union branches).
+    /// Merge metrics from a sub-evaluation (a union's disjunct morsel
+    /// units).
     pub fn absorb(&mut self, other: ExecMetrics) {
         self.rows_scanned += other.rows_scanned;
         self.peak_intermediate = self.peak_intermediate.max(other.peak_intermediate);

@@ -3,16 +3,20 @@
 //! Scans and bind-joins split their input into fixed-size *morsels* that
 //! worker threads claim off a shared atomic counter (self-scheduling: fast
 //! workers steal more morsels, so skewed morsels never straggle a static
-//! partition). Each worker materializes its morsel into a private columnar
+//! partition). A large UCQ runs through the same pool with one disjunct per
+//! unit (`Evaluator::eval_ucq`). Each worker materializes its unit into a
+//! private columnar
 //! [`Relation`]; partials are stitched back **in morsel order** with
 //! [`Relation::absorb_rows`], so the output is byte-identical to the
 //! sequential evaluation — parallelism is observable only through the
 //! `op.morsel.*` counters and wall time.
 //!
 //! Counters:
-//! * `op.morsel.count`   — morsels claimed (⌈input/size⌉, min 1; exact and
-//!   deterministic, pinned by `tests/metrics_exactness.rs`);
-//! * `op.morsel.rows`    — input rows staged into morsels;
+//! * `op.morsel.count`   — morsels claimed (⌈input/size⌉, min 1, or one per
+//!   disjunct of a parallel union; exact and deterministic, pinned by
+//!   `tests/metrics_exactness.rs`);
+//! * `op.morsel.rows`    — input rows staged into scan and bind-join
+//!   morsels;
 //! * `op.morsel.workers` — worker threads used (≤ available parallelism,
 //!   hardware-dependent, so never pinned exactly in tests).
 

@@ -77,8 +77,7 @@ pub mod prelude {
         reformulate_jucq, reformulate_scq, reformulate_ucq, ReformulationLimits, RewriteContext,
     };
     pub use rdfref_core::serving::{
-        BatchReport, BatchTicket, ServingDatabase, ShardConfig, ShardedServingDatabase, Snapshot,
-        UpdateBatch,
+        BatchReport, BatchTicket, ServingDatabase, Snapshot, UpdateBatch,
     };
     pub use rdfref_core::SnapshotInfo;
     pub use rdfref_core::{EngineBuilder, MetricsRegistry, Obs};

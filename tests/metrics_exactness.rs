@@ -255,7 +255,7 @@ fn interval_dag_fallback_still_unions() {
 #[test]
 fn parallel_union_workers_record_into_one_registry_without_loss() {
     // 20 subclasses push the UCQ reformulation past the 16-disjunct
-    // threshold that turns on parallel union evaluation.
+    // threshold that turns a union into one morsel unit per disjunct.
     let mut doc = String::from(
         "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
          @prefix ex: <http://example.org/> .\n",
@@ -276,20 +276,27 @@ fn parallel_union_workers_record_into_one_registry_without_loss() {
     let answer = db
         .query(&q)
         .strategy(Strategy::RefUcq)
-        .parallelism(Parallelism::Unions)
+        .parallelism(Parallelism::morsels())
         .collect_metrics(&registry)
         .run()
         .unwrap();
     assert_eq!(answer.len(), 20);
+    assert_eq!(
+        answer.explain.reformulation_cqs, 21,
+        "Top and its 20 subclasses"
+    );
     let snap = registry.snapshot();
-    assert_eq!(snap.counter("union.parallel.unions"), 1);
-    let workers = snap.counter("union.parallel.workers");
-    assert!(workers >= 1);
-    // Every worker reports its busy time exactly once.
-    let busy = snap.histogram("union.worker.busy_us").expect("histogram");
-    assert_eq!(busy.count, workers);
-    // No rows are lost on the parallel path.
+    // One unit per disjunct, each a sequential single-atom scan: the pool
+    // never nests, so no scan claims morsels of its own.
+    assert_eq!(snap.counter("op.morsel.count"), 21);
+    assert_eq!(snap.counter("op.scan.count"), 21);
+    // No rows are lost on the parallel path (`Top` has no direct members).
     assert_eq!(snap.counter("op.union.rows"), 20);
+    let workers = snap.counter("op.morsel.workers");
+    assert!(
+        (1..=21).contains(&workers),
+        "workers {workers} not in 1..=disjunct count"
+    );
 }
 
 #[test]
